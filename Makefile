@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build test vet fmt-check race crosscheck crosscheck-symbolic hybrid-race autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate stats serve clean
+.PHONY: check build test vet fmt-check race crosscheck crosscheck-symbolic hybrid-race autotune-smoke aot-smoke obsd-smoke serve-smoke fuzz-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate stats serve clean
 
 ## check: the full gate — vet, gofmt cleanliness, build, the
 ## race-enabled test suite, the cross-backend differential suites (isl
 ## backends and the symbolic detection algebra), the hybrid-schedule
 ## equivalence suite under contention, the AOT-backend smoke (emit,
 ## compile, execute, compare against the interpreter), the
-## live-telemetry smoke, and the detection-service smoke. The autotune
+## live-telemetry smoke, the detection-service smoke, and a short
+## fuzzing run of the SCoP wire decoder. The autotune
 ## smoke joins in only on multi-core hosts: on one CPU the search
 ## measures scheduling noise, not blocking.
-check: vet fmt-check build race crosscheck crosscheck-symbolic hybrid-race aot-smoke obsd-smoke serve-smoke
+check: vet fmt-check build race crosscheck crosscheck-symbolic hybrid-race aot-smoke obsd-smoke serve-smoke fuzz-smoke
 	@if [ "$$(nproc 2>/dev/null || echo 1)" -ge 2 ]; then \
 		$(MAKE) autotune-smoke; \
 	else \
@@ -138,6 +139,14 @@ obsd-smoke:
 ## require the disk tier to answer (cache_disk_hits >= 1).
 serve-smoke:
 	GO="$(GO)" ./scripts/serve-smoke.sh
+
+## fuzz-smoke: ten seconds of native fuzzing on scop.FromJSON — no
+## panic, typed errors on rejection, and lazy materialization equal to
+## an eager Builder.Build for documents small enough to enumerate. One
+## fuzz worker keeps memory small (isl intern tables only grow). The
+## seed corpus alone runs in every `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFromJSON$$' -fuzztime=10s -parallel=1 ./internal/scop/
 
 ## bench-serve: the detection-service load benchmark — replayable
 ## zipf-skewed traffic over the Table 9 + nmm corpus against an

@@ -104,37 +104,52 @@ func TestServeModeEndToEnd(t *testing.T) {
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	// The loop has run at least once by the time the sampler has two
-	// samples; poll for both conditions together.
+	// The sampler can take two samples before the loop's first run has
+	// executed (and registered the runtime families), so poll until the
+	// series has two samples and the exposition has every family.
+	wantFamilies := []string{
+		"# TYPE detect_statements counter",
+		"# TYPE runtime_executed counter",
+		"# TYPE runtime_task_ns histogram",
+	}
+	hasFamilies := func(body string) bool {
+		for _, want := range wantFamilies {
+			if !strings.Contains(body, want) {
+				return false
+			}
+		}
+		return true
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	var series export.Series
+	var code int
+	var body string
 	for {
-		_, body := get("/debug/series")
-		if err := json.Unmarshal([]byte(body), &series); err != nil {
+		_, sbody := get("/debug/series")
+		if err := json.Unmarshal([]byte(sbody), &series); err != nil {
 			t.Fatalf("/debug/series JSON: %v", err)
 		}
-		if len(series.Samples) >= 2 {
+		code, body = get("/metrics")
+		if len(series.Samples) >= 2 && (code != http.StatusOK || hasFamilies(body)) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sampler stuck at %d samples", len(series.Samples))
+			break
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if len(series.Samples) < 2 {
+		t.Fatalf("sampler stuck at %d samples", len(series.Samples))
 	}
 	last := series.Samples[len(series.Samples)-1]
 	if series.Samples[0].When.Equal(last.When) {
 		t.Error("series samples share a timestamp")
 	}
 
-	code, body := get("/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{
-		"# TYPE detect_statements counter",
-		"# TYPE runtime_executed counter",
-		"# TYPE runtime_task_ns histogram",
-	} {
+	for _, want := range wantFamilies {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}

@@ -124,7 +124,7 @@ func Tune(p *kernels.Program, cfg Config) (*Result, error) {
 	ceiling := cfg.MaxBlockIters
 	if ceiling <= 0 {
 		for _, s := range p.SCoP.Stmts {
-			if c := s.Domain.Card(); c > ceiling {
+			if c := s.Domain().Card(); c > ceiling {
 				ceiling = c
 			}
 		}

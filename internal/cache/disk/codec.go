@@ -25,10 +25,13 @@ import (
 	"repro/internal/scop"
 )
 
-// codecVersion gates the file format; a reader finding another version
-// treats the entry as a miss (the store rewrites it on the next
-// detection).
-const codecVersion = 1
+// codecVersion gates the file format and the key scheme; a reader
+// finding another version treats the entry as a miss (the store
+// rewrites it on the next detection). Version 2 keys entries by the
+// affine fingerprint of the SCoP description; version 1 keyed them by
+// a hash of the enumerated points, so a version-1 file name can never
+// be trusted to address the same program under the new function.
+const codecVersion = 2
 
 // encMap is one enumerated relation: its tuple spaces and the pair
 // list in enumeration order.

@@ -63,8 +63,10 @@ func New(dir string, reg *obs.Registry) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path names the entry file for key: the fingerprint plus the
-// semantic option bits, so option variants of one SCoP coexist.
+// path names the entry file for key: the codec version, the
+// fingerprint and the semantic option bits, so option variants of one
+// SCoP coexist and entries written under another key scheme are never
+// opened.
 func (s *Store) path(key cache.Key) string {
 	pw, ow := 0, 0
 	if key.PairwiseBlocks {
@@ -73,7 +75,7 @@ func (s *Store) path(key cache.Key) string {
 	if key.AllowOverwrites {
 		ow = 1
 	}
-	return filepath.Join(s.dir, fmt.Sprintf("%s-m%d-p%d-o%d.gob", key.FP, key.MinBlockIters, pw, ow))
+	return filepath.Join(s.dir, fmt.Sprintf("v%d-%s-m%d-p%d-o%d.gob", codecVersion, key.FP, key.MinBlockIters, pw, ow))
 }
 
 // Load reads the entry for key and rebinds it to sc, reporting a miss
@@ -149,7 +151,7 @@ func (s *Store) Store(key cache.Key, info *core.Info) {
 
 // Len counts the entries currently on disk.
 func (s *Store) Len() int {
-	matches, err := filepath.Glob(filepath.Join(s.dir, "*.gob"))
+	matches, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("v%d-*.gob", codecVersion)))
 	if err != nil {
 		return 0
 	}

@@ -98,7 +98,7 @@ func (c VecCoder) Encode(stmtIndex int, leader isl.Vec) int {
 func newCoder(sc *scop.SCoP) VecCoder {
 	maxCoord := 0
 	for _, s := range sc.Stmts {
-		if m, ok := s.Domain.Lexmax(); ok {
+		if m, ok := s.Domain().Lexmax(); ok {
 			for _, x := range m {
 				if x > maxCoord {
 					maxCoord = x

@@ -21,7 +21,7 @@ import (
 func runSequential(p *kernels.Program) uint64 {
 	p.Reset()
 	for _, s := range p.SCoP.Stmts {
-		for _, iv := range s.Domain.Elements() {
+		for _, iv := range s.Domain().Elements() {
 			s.Body(iv)
 		}
 	}

@@ -146,16 +146,14 @@ func (in *Info) TotalBlocks() int {
 }
 
 // Freeze materializes the lazy ordering caches of every relation the
-// result holds — statement domains, pair T/V/Y maps, integrated E
-// maps, in-dependency relations, and the dependence graph — and
-// returns in. A frozen Info is safe for any number of concurrent
+// result holds — pair T/V/Y maps, integrated E maps, in-dependency
+// relations, and the dependence graph — and returns in. Statement
+// domains need no freezing: scop publishes them frozen when it
+// enumerates them. A frozen Info is safe for any number of concurrent
 // readers (lookups, lowering, execution) with no further
 // synchronization, which is the representation the detection cache
 // stores (internal/cache).
 func (in *Info) Freeze() *Info {
-	for _, s := range in.SCoP.Stmts {
-		s.Domain.Freeze()
-	}
 	if in.Graph != nil {
 		in.Graph.Freeze()
 	}
@@ -239,12 +237,9 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 	info := &Info{SCoP: sc, Graph: g}
 
 	// Statement domains are shared across the per-pair jobs below
-	// (every pair touching a statement reads its domain); freezing them
-	// materializes the lazy ordering caches so concurrent readers never
-	// mutate shared state.
-	for _, s := range sc.Stmts {
-		s.Domain.Freeze()
-	}
+	// (every pair touching a statement reads its domain); scop
+	// publishes them frozen, so concurrent readers never mutate shared
+	// state.
 
 	// Pairwise pipeline maps and blocking maps (Algorithm 1, lines 1–7).
 	// Pair enumeration is serial (it fixes the deterministic job order);
@@ -280,9 +275,9 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 				results[i].err = fmt.Errorf("%w: statement %q has a non-injective write; set Options.AllowOverwrites to use the relaxed extension", ErrNotPipelinable, j.src.Name)
 				return
 			}
-			t, err = PipelineMapRelaxed(j.src.Write.Rel, j.rd)
+			t, err = PipelineMapRelaxed(j.src.Write.Rel(), j.rd)
 		} else {
-			t, err = PipelineMap(j.src.Write.Rel, j.rd)
+			t, err = PipelineMap(j.src.Write.Rel(), j.rd)
 		}
 		if err != nil {
 			results[i].err = fmt.Errorf("core: pipeline map %s -> %s: %w", j.src.Name, j.dst.Name, err)
@@ -296,8 +291,8 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 				Src: j.src,
 				Dst: j.dst,
 				T:   t,
-				V:   SourceBlockingMap(j.src.Domain, t),
-				Y:   TargetBlockingMap(j.dst.Domain, t),
+				V:   SourceBlockingMap(j.src.Domain(), t),
+				Y:   TargetBlockingMap(j.dst.Domain(), t),
 			},
 			ok: true,
 		}
@@ -330,9 +325,9 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 		if opts.PairwiseBlocks && len(maps) > 1 {
 			maps = maps[:1]
 		}
-		e := IntegrateBlockingMaps(s.Domain, maps)
-		e = Coarsen(e, s.Domain, opts.MinBlockIters)
-		blocks, index := materializeBlocks(s.Domain, e)
+		e := IntegrateBlockingMaps(s.Domain(), maps)
+		e = Coarsen(e, s.Domain(), opts.MinBlockIters)
+		blocks, index := materializeBlocks(s.Domain(), e)
 		info.Stmts[s.Index] = &StmtInfo{
 			Stmt:       s,
 			E:          e,

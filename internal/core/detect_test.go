@@ -18,11 +18,11 @@ func TestPipelineMapPaperExample(t *testing.T) {
 	sc := kernels.Listing1(20).SCoP
 	s, r := sc.Statement("S"), sc.Statement("R")
 	rd := r.ReadsFrom("A")[0]
-	pm, err := PipelineMap(s.Write.Rel, rd)
+	pm, err := PipelineMap(s.Write.Rel(), rd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := isl.NewMap(s.Domain.Space(), r.Domain.Space())
+	want := isl.NewMap(s.Domain().Space(), r.Domain().Space())
 	for i0 := 0; i0 <= 8; i0++ {
 		for o1 := 0; o1 <= 8; o1++ {
 			want.Add(isl.NewVec(i0, 2*o1), isl.NewVec(i0, o1))
@@ -39,11 +39,11 @@ func TestPipelineMapPaperExample(t *testing.T) {
 func TestSourceBlockingPaperExample(t *testing.T) {
 	sc := kernels.Listing1(20).SCoP
 	s, r := sc.Statement("S"), sc.Statement("R")
-	pm, err := PipelineMap(s.Write.Rel, r.ReadsFrom("A")[0])
+	pm, err := PipelineMap(s.Write.Rel(), r.ReadsFrom("A")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := SourceBlockingMap(s.Domain, pm)
+	v := SourceBlockingMap(s.Domain(), pm)
 	cases := [][2]isl.Vec{
 		{isl.NewVec(1, 1), isl.NewVec(1, 2)},
 		{isl.NewVec(1, 2), isl.NewVec(1, 2)},
@@ -63,7 +63,7 @@ func TestSourceBlockingPaperExample(t *testing.T) {
 		}
 	}
 	// Totality: every domain point has exactly one leader.
-	if !v.Domain().Equal(s.Domain) || !v.IsSingleValued() {
+	if !v.Domain().Equal(s.Domain()) || !v.IsSingleValued() {
 		t.Error("V is not a total single-valued blocking map")
 	}
 }
@@ -146,7 +146,7 @@ func TestDetectListing3Integration(t *testing.T) {
 		t.Fatalf("pairs = %d, want 3", len(info.Pairs))
 	}
 	for _, si := range info.Stmts {
-		checkBlockingInvariants(t, si.Stmt.Name, si.Stmt.Domain, si.E)
+		checkBlockingInvariants(t, si.Stmt.Name, si.Stmt.Domain(), si.E)
 	}
 	// R participates in two pipeline maps (target of S, source of U):
 	// its E must be the pointwise lexmin of both pairwise maps.
@@ -161,7 +161,7 @@ func TestDetectListing3Integration(t *testing.T) {
 		}
 	}
 	rInfo := info.Stmt("R")
-	for _, v := range r.Domain.Elements() {
+	for _, v := range r.Domain().Elements() {
 		want := isl.LexMin(yFromS.Image(v), vToU.Image(v))
 		if got := rInfo.E.Image(v); !got.Eq(want) {
 			t.Fatalf("E_R(%v) = %v, want lexmin = %v", v, got, want)
@@ -203,9 +203,9 @@ func TestDependencyEnablesSafety(t *testing.T) {
 	for _, si := range info.Stmts {
 		for _, dep := range si.InDeps {
 			src := dep.Src
-			wr := src.Write.Rel
+			wr := src.Write.Rel()
 			written := func(upTo isl.Vec) *isl.Set {
-				done := src.Domain.Filter(func(v isl.Vec) bool { return v.Cmp(upTo) <= 0 })
+				done := src.Domain().Filter(func(v isl.Vec) bool { return v.Cmp(upTo) <= 0 })
 				return wr.ApplySet(done)
 			}
 			allWritten := wr.Range()
@@ -276,7 +276,7 @@ func TestCoarsenGranularity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, si := range info.Stmts {
-		checkBlockingInvariants(t, si.Stmt.Name, si.Stmt.Domain, si.E)
+		checkBlockingInvariants(t, si.Stmt.Name, si.Stmt.Domain(), si.E)
 		for bi, blk := range si.Blocks {
 			if len(blk.Members) < 8 && bi != len(si.Blocks)-1 {
 				t.Errorf("%s block %d has %d iterations, want >= 8", si.Stmt.Name, bi, len(blk.Members))

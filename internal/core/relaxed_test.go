@@ -31,7 +31,7 @@ func buildOverwriteScop(t *testing.T, n int) *scop.SCoP {
 func TestRelaxedPipelineMapLastWriter(t *testing.T) {
 	sc := buildOverwriteScop(t, 6)
 	s, tgt := sc.Statement("S"), sc.Statement("T")
-	pm, err := PipelineMapRelaxed(s.Write.Rel, tgt.Reads[0].Rel)
+	pm, err := PipelineMapRelaxed(s.Write.Rel(), tgt.Reads[0].Rel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestRelaxedReducesToStrictOnInjective(t *testing.T) {
 		Reads("A", aff.Var(2, 1), aff.Var(2, 0)) // transposed read
 	sc := b.MustBuild()
 	s, tgt := sc.Statement("S"), sc.Statement("T")
-	strict, err := PipelineMap(s.Write.Rel, tgt.Reads[0].Rel)
+	strict, err := PipelineMap(s.Write.Rel(), tgt.Reads[0].Rel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := PipelineMapRelaxed(s.Write.Rel, tgt.Reads[0].Rel)
+	relaxed, err := PipelineMapRelaxed(s.Write.Rel(), tgt.Reads[0].Rel())
 	if err != nil {
 		t.Fatal(err)
 	}

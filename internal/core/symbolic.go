@@ -203,11 +203,6 @@ func symStmtOf(s *scop.Statement) (*SymStmt, error) {
 		box[i] = sym.Lat1{Lo: int64(lo[i]), Hi: int64(hi[i]) - 1, Stride: 1}
 		dommax[i] = int64(hi[i]) - 1
 	}
-	// Guard against a Spec that diverged from the enumerated Domain
-	// (hand-built SCoPs): the cardinalities must agree. Card is O(1).
-	if int64(s.Domain.Card()) != box.Count() {
-		return nil, unsupportedf("statement %q domain spec disagrees with its enumerated domain", s.Name)
-	}
 	ss := &SymStmt{Stmt: s, Dom: box, DomMax: dommax}
 	if s.Write != nil {
 		if s.Write.MayOverwrite {
@@ -628,15 +623,12 @@ func (si *SymInfo) Materialize() *Info {
 	workers := par.Workers(si.workers)
 	g := deps.AnalyzeParallel(sc, workers)
 	info := &Info{SCoP: sc, Graph: g}
-	for _, s := range sc.Stmts {
-		s.Domain.Freeze()
-	}
 
 	info.Pairs = make([]PipelinePair, len(si.Pairs))
 	par.For(len(si.Pairs), workers, func(i int) {
 		sp := &si.Pairs[i]
-		srcDom := sc.Stmts[sp.Src.Index].Domain
-		dstDom := sc.Stmts[sp.Dst.Index].Domain
+		srcDom := sc.Stmts[sp.Src.Index].Domain()
+		dstDom := sc.Stmts[sp.Dst.Index].Domain()
 		t := isl.NewMap(srcDom.Space(), dstDom.Space())
 		sym.Region{sp.TDom}.ForeachLex(func(v []int64) bool {
 			t.Add(toVec(v), toVec(evalPW(sp.T, v)))
@@ -654,8 +646,8 @@ func (si *SymInfo) Materialize() *Info {
 	info.Stmts = make([]*StmtInfo, len(sc.Stmts))
 	par.For(len(sc.Stmts), workers, func(i int) {
 		ss := si.Stmts[i]
-		e := materializePW(ss.Stmt.Domain, ss.E)
-		blocks, index := materializeBlocks(ss.Stmt.Domain, e)
+		e := materializePW(ss.Stmt.Domain(), ss.E)
+		blocks, index := materializeBlocks(ss.Stmt.Domain(), e)
 		info.Stmts[i] = &StmtInfo{
 			Stmt:       ss.Stmt,
 			E:          e,

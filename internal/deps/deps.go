@@ -10,6 +10,8 @@ package deps
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/isl"
 	"repro/internal/par"
@@ -51,6 +53,23 @@ type Graph struct {
 	// with i ≺ j for statement s, across flow, anti, and output
 	// conflicts. Used for per-dimension parallelism tests.
 	intra []*isl.Map
+	// parDims[s] memoizes ParallelDims for statement s; parOnce[s]
+	// makes its first computation the only one, so every view sharing
+	// the graph (cache.Rebind) reuses it race-free.
+	parOnce []sync.Once
+	parDims [][]bool
+}
+
+// newGraph assembles a graph over sc from its relations.
+func newGraph(sc *scop.SCoP, flow [][]*isl.Map, intra []*isl.Map) *Graph {
+	n := len(sc.Stmts)
+	return &Graph{
+		scop:    sc,
+		flow:    flow,
+		intra:   intra,
+		parOnce: make([]sync.Once, n),
+		parDims: make([][]bool, n),
+	}
 }
 
 // Analyze computes the dependence graph of sc on the calling
@@ -68,11 +87,7 @@ func Analyze(sc *scop.SCoP) *Graph {
 // algebra never mutates.
 func AnalyzeParallel(sc *scop.SCoP, workers int) *Graph {
 	n := len(sc.Stmts)
-	g := &Graph{
-		scop:  sc,
-		flow:  make([][]*isl.Map, n),
-		intra: make([]*isl.Map, n),
-	}
+	g := newGraph(sc, make([][]*isl.Map, n), make([]*isl.Map, n))
 	for i := range g.flow {
 		g.flow[i] = make([]*isl.Map, n)
 	}
@@ -113,7 +128,7 @@ func flowRelation(src, dst *scop.Statement) *isl.Map {
 	w := src.Write
 	for _, rd := range dst.ReadsFrom(w.Array()) {
 		// (i, j) such that ∃m: w(i) = m ∧ rd(j) = m.
-		rel := isl.Compose(rd.Inverse(), w.Rel)
+		rel := isl.Compose(rd.Inverse(), w.Rel())
 		if union == nil {
 			union = rel
 		} else {
@@ -144,11 +159,11 @@ func restrictForward(m *isl.Map) *isl.Map {
 // intraConflicts returns all unordered conflict pairs (i ≺ j) between
 // iterations of s: flow, anti, and output conflicts through any array.
 func intraConflicts(s *scop.Statement) *isl.Map {
-	res := isl.NewMap(s.Domain.Space(), s.Domain.Space())
+	res := isl.NewMap(s.Space(), s.Space())
 	if s.Write == nil {
 		return res
 	}
-	w := s.Write.Rel
+	w := s.Write.Rel()
 	add := func(rel *isl.Map) {
 		rel.Foreach(func(a, b isl.Vec) bool {
 			switch a.Cmp(b) {
@@ -210,8 +225,15 @@ func (g *Graph) Targets(src *scop.Statement) []*scop.Statement {
 // that depth can run its iterations in parallel: no intra-statement
 // conflict relates two iterations that agree on all outer dimensions
 // and differ at this one. This is the test a Polly-style per-loop
-// parallelizer applies.
+// parallelizer applies. The answer is computed once per statement
+// (keyed by Index, so rebound statements share it) and returned as a
+// fresh slice.
 func (g *Graph) ParallelDims(s *scop.Statement) []bool {
+	g.parOnce[s.Index].Do(func() { g.parDims[s.Index] = g.parallelDims(s) })
+	return slices.Clone(g.parDims[s.Index])
+}
+
+func (g *Graph) parallelDims(s *scop.Statement) []bool {
 	depth := s.Depth()
 	par := make([]bool, depth)
 	for d := range par {
@@ -247,13 +269,13 @@ func CrossHazards(sc *scop.SCoP) error {
 		if late.Write == nil {
 			continue
 		}
-		wRange := late.Write.Rel.Range()
+		wRange := late.Write.Rel().Range()
 		for _, early := range sc.Stmts {
 			if early.Index >= late.Index {
 				break
 			}
 			if early.Write != nil && early.Write.Array() == late.Write.Array() {
-				if !early.Write.Rel.Range().Intersect(wRange).IsEmpty() {
+				if !early.Write.Rel().Range().Intersect(wRange).IsEmpty() {
 					return fmt.Errorf("deps: output hazard: statements %q and %q both write array %q",
 						early.Name, late.Name, late.Write.Array())
 				}

@@ -36,5 +36,5 @@ func RebuildGraph(sc *scop.SCoP, flow [][]*isl.Map, intra []*isl.Map) (*Graph, e
 			return nil, fmt.Errorf("deps: rebuild: flow row %d has %d entries, want %d", i, len(row), n)
 		}
 	}
-	return &Graph{scop: sc, flow: flow, intra: intra}, nil
+	return newGraph(sc, flow, intra), nil
 }

@@ -47,7 +47,7 @@ func Sequential(p *kernels.Program) Result {
 func RunSequential(sc *scop.SCoP) {
 	for _, s := range sc.Stmts {
 		body := s.Body
-		for _, iv := range s.Domain.Elements() {
+		for _, iv := range s.Domain().Elements() {
 			body(iv)
 		}
 	}
@@ -218,7 +218,7 @@ func runNestParallel(s *scop.Statement, par []bool, workers int) {
 			break
 		}
 	}
-	elems := s.Domain.Elements()
+	elems := s.Domain().Elements()
 	if d < 0 || workers <= 1 {
 		body := s.Body
 		for _, iv := range elems {

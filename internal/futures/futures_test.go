@@ -123,7 +123,7 @@ func TestPipelinedProgramOnFuturesLayer(t *testing.T) {
 
 	p.Reset()
 	for _, s := range p.SCoP.Stmts {
-		for _, iv := range s.Domain.Elements() {
+		for _, iv := range s.Domain().Elements() {
 			s.Body(iv)
 		}
 	}

@@ -146,9 +146,9 @@ func TestDetectNeverPanicsOnRandomPrograms(t *testing.T) {
 			for _, blk := range si.Blocks {
 				n += len(blk.Members)
 			}
-			if n != si.Stmt.Domain.Card() {
+			if n != si.Stmt.Domain().Card() {
 				t.Fatalf("seed %d: %s blocks cover %d of %d iterations",
-					seed, si.Stmt.Name, n, si.Stmt.Domain.Card())
+					seed, si.Stmt.Name, n, si.Stmt.Domain().Card())
 			}
 		}
 	}

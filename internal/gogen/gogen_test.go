@@ -46,7 +46,7 @@ func generate(t *testing.T, src, passes string) (string, uint64) {
 	p := interp.Programify(sc)
 	p.Reset()
 	for _, s := range sc.Stmts {
-		for _, iv := range s.Domain.Elements() {
+		for _, iv := range s.Domain().Elements() {
 			s.Body(iv)
 		}
 	}

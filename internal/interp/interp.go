@@ -102,10 +102,10 @@ func NewState(sc *scop.SCoP) *State {
 	}
 	for _, s := range sc.Stmts {
 		if s.Write != nil {
-			consider(s.Write.Rel)
+			consider(s.Write.Rel())
 		}
 		for i := range s.Reads {
-			consider(s.Reads[i].Rel)
+			consider(s.Reads[i].Rel())
 		}
 	}
 	for name, arr := range sc.Arrays {

@@ -112,7 +112,7 @@ func interpHash(t *testing.T, sc *scop.SCoP) uint64 {
 	p := interp.Programify(sc)
 	p.Reset()
 	for _, s := range sc.Stmts {
-		for _, iv := range s.Domain.Elements() {
+		for _, iv := range s.Domain().Elements() {
 			s.Body(iv)
 		}
 	}

@@ -76,11 +76,11 @@ func lowerArrays(p *Program, info *core.Info) error {
 	}
 	for _, s := range sc.Stmts {
 		if s.Write != nil {
-			consider(s.Write.Rel)
+			consider(s.Write.Rel())
 			written[s.Write.Array()] = true
 		}
 		for i := range s.Reads {
-			consider(s.Reads[i].Rel)
+			consider(s.Reads[i].Rel())
 		}
 	}
 	names := make([]string, 0, len(sc.Arrays))
@@ -176,7 +176,7 @@ func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
 		from := prevLeader[spec.Stmt.Index]
 		if from == nil {
 			from = make(isl.Vec, depth)
-			if min, ok := spec.Stmt.Domain.Lexmin(); ok {
+			if min, ok := spec.Stmt.Domain().Lexmin(); ok {
 				copy(from, min)
 				from[0] = min[0] - 1
 			}

@@ -62,6 +62,10 @@ func (e Expr) coeff(i int) int {
 	return e.Coeffs[i]
 }
 
+// Coeff returns the coefficient of variable i; a nil Coeffs vector
+// reads as all zeros.
+func (e Expr) Coeff(i int) int { return e.coeff(i) }
+
 func (e Expr) checkArity(f Expr, op string) {
 	if e.NVars != f.NVars {
 		panic(fmt.Sprintf("aff: %s arity mismatch: %d vs %d", op, e.NVars, f.NVars))

@@ -58,7 +58,7 @@ func TestTriangularChainEndToEnd(t *testing.T) {
 	p := kernels.TriangularChain(12)
 	s := p.SCoP.Statement("S")
 	// Triangular domain: n(n+1)/2 points.
-	if got, want := s.Domain.Card(), 12*13/2; got != want {
+	if got, want := s.Domain().Card(), 12*13/2; got != want {
 		t.Fatalf("S domain card = %d, want %d", got, want)
 	}
 	if err := exec.Verify(p, 4, core.Options{}); err != nil {

@@ -28,12 +28,12 @@ func TestParseListing1(t *testing.T) {
 		t.Fatalf("statements = %d", len(sc.Stmts))
 	}
 	s := sc.Statement("S")
-	if s.Domain.Card() != 19*19 {
-		t.Errorf("S card = %d", s.Domain.Card())
+	if s.Domain().Card() != 19*19 {
+		t.Errorf("S card = %d", s.Domain().Card())
 	}
 	r := sc.Statement("R")
-	if r.Domain.Card() != 9*9 {
-		t.Errorf("R card = %d", r.Domain.Card())
+	if r.Domain().Card() != 9*9 {
+		t.Errorf("R card = %d", r.Domain().Card())
 	}
 	if got := r.ReadsFrom("A")[0].Image(isl.NewVec(2, 3)); !got.Eq(isl.NewVec(2, 6)) {
 		t.Errorf("A read image = %v", got)
@@ -104,7 +104,7 @@ for (i = 0; i < 5; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Statement("S").Domain.Card(); got != 15 {
+	if got := sc.Statement("S").Domain().Card(); got != 15 {
 		t.Fatalf("triangle card = %d, want 15", got)
 	}
 }
@@ -188,10 +188,10 @@ for (i = 0; i < HALF - 1; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Statement("S").Domain.Equal(ref.Statement("S").Domain) {
+	if !sc.Statement("S").Domain().Equal(ref.Statement("S").Domain()) {
 		t.Error("param-based S domain differs")
 	}
-	if !sc.Statement("R").Domain.Equal(ref.Statement("R").Domain) {
+	if !sc.Statement("R").Domain().Equal(ref.Statement("R").Domain()) {
 		t.Error("param-based R domain differs")
 	}
 }
@@ -225,7 +225,7 @@ for (k = 0; k < 4; k++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Statement("S").Domain.Card(); got != 4 {
+	if got := sc.Statement("S").Domain().Card(); got != 4 {
 		t.Fatalf("card = %d, want 4 (loop var must shadow param)", got)
 	}
 }
@@ -332,16 +332,16 @@ for (i = 0; i < N; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Statement("S").Domain.Card() != 4 {
-		t.Fatalf("default card = %d", sc.Statement("S").Domain.Card())
+	if sc.Statement("S").Domain().Card() != 4 {
+		t.Fatalf("default card = %d", sc.Statement("S").Domain().Card())
 	}
 	// Caller override.
 	sc, err = ParseWithParams("bound", src, map[string]int{"N": 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Statement("S").Domain.Card() != 9 {
-		t.Fatalf("bound card = %d", sc.Statement("S").Domain.Card())
+	if sc.Statement("S").Domain().Card() != 9 {
+		t.Fatalf("bound card = %d", sc.Statement("S").Domain().Card())
 	}
 	// Binding without a source declaration also works.
 	noDecl := `
@@ -352,7 +352,7 @@ for (i = 0; i < M; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Statement("S").Domain.Card() != 6 {
-		t.Fatalf("nodecl card = %d", sc.Statement("S").Domain.Card())
+	if sc.Statement("S").Domain().Card() != 6 {
+		t.Fatalf("nodecl card = %d", sc.Statement("S").Domain().Card())
 	}
 }

@@ -581,7 +581,7 @@ func (p *parser) checkBounds(sc *scop.SCoP) error {
 				continue
 			}
 			var bad error
-			a.Rel.Range().Foreach(func(idx isl.Vec) bool {
+			a.Rel().Range().Foreach(func(idx isl.Vec) bool {
 				for d, x := range idx {
 					if x < 0 || x >= ext[d] {
 						bad = fmt.Errorf("lang: statement %q accesses %s%v outside the declared extents %v",

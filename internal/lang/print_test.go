@@ -35,17 +35,17 @@ func assertSameShape(t *testing.T, a, b *scop.SCoP) {
 		if got.Name != s.Name {
 			t.Fatalf("stmt %d name %q != %q", i, got.Name, s.Name)
 		}
-		if !got.Domain.Equal(s.Domain) {
+		if !got.Domain().Equal(s.Domain()) {
 			t.Fatalf("stmt %s domain differs", s.Name)
 		}
-		if !got.Write.Rel.Equal(s.Write.Rel) {
+		if !got.Write.Rel().Equal(s.Write.Rel()) {
 			t.Fatalf("stmt %s write differs", s.Name)
 		}
 		if len(got.Reads) != len(s.Reads) {
 			t.Fatalf("stmt %s reads %d != %d", s.Name, len(got.Reads), len(s.Reads))
 		}
 		for k := range s.Reads {
-			if !got.Reads[k].Rel.Equal(s.Reads[k].Rel) {
+			if !got.Reads[k].Rel().Equal(s.Reads[k].Rel()) {
 				t.Fatalf("stmt %s read %d differs", s.Name, k)
 			}
 		}
@@ -123,8 +123,8 @@ for (i = 0; i < 4; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Stmts[0].Domain.Equal(sc.Stmts[0].Domain) ||
-		!back.Stmts[0].Write.Rel.Equal(sc.Stmts[0].Write.Rel) {
+	if !back.Stmts[0].Domain().Equal(sc.Stmts[0].Domain()) ||
+		!back.Stmts[0].Write.Rel().Equal(sc.Stmts[0].Write.Rel()) {
 		t.Fatal("domain or write lost")
 	}
 }

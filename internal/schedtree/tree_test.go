@@ -62,7 +62,7 @@ func TestBuildShape(t *testing.T) {
 		if !dom.Set.Equal(st.E.Range()) {
 			t.Errorf("child %d: outer domain is not Range(E)", i)
 		}
-		if !innerDom.Set.Equal(st.Stmt.Domain) {
+		if !innerDom.Set.Equal(st.Stmt.Domain()) {
 			t.Errorf("child %d: inner domain is not the statement domain", i)
 		}
 		if !exp.Contraction.Equal(st.E) {
@@ -130,8 +130,8 @@ func TestFlattenCoversEveryIteration(t *testing.T) {
 		}
 	}
 	for _, si := range info.Stmts {
-		if got := len(seen[si.Stmt.Name]); got != si.Stmt.Domain.Card() {
-			t.Errorf("%s: %d iterations scheduled, want %d", si.Stmt.Name, got, si.Stmt.Domain.Card())
+		if got := len(seen[si.Stmt.Name]); got != si.Stmt.Domain().Card() {
+			t.Errorf("%s: %d iterations scheduled, want %d", si.Stmt.Name, got, si.Stmt.Domain().Card())
 		}
 	}
 }
@@ -197,7 +197,7 @@ func TestValidateRejectsMoreMutations(t *testing.T) {
 		outer := tree.Children[0].(*DomainNode)
 		exp := outer.Child.(*BandNode).Child.(*ExpansionNode)
 		mark := exp.Child.(*DomainNode).Child.(*MarkNode)
-		mark.Task.Out = isl.Identity(mark.Task.Stmt.Domain)
+		mark.Task.Out = isl.Identity(mark.Task.Stmt.Domain())
 	})
 	// Inner band missing.
 	mutate(t, func(tree *SequenceNode) {

@@ -1,10 +1,6 @@
 package scop
 
-import (
-	"fmt"
-
-	"repro/internal/isl/aff"
-)
+import "repro/internal/isl/aff"
 
 // Builder assembles a SCoP incrementally. Typical use:
 //
@@ -35,11 +31,11 @@ func (b *Builder) Array(name string, dim int) *Builder {
 		return b
 	}
 	if _, dup := b.scop.Arrays[name]; dup {
-		b.err = fmt.Errorf("scop builder: array %q declared twice", name)
+		b.err = invalidf(b.scop.Name, "array %q declared twice", name)
 		return b
 	}
 	if dim <= 0 {
-		b.err = fmt.Errorf("scop builder: array %q has non-positive dimension %d", name, dim)
+		b.err = invalidf(b.scop.Name, "array %q has non-positive dimension %d", name, dim)
 		return b
 	}
 	b.scop.Arrays[name] = &Array{Name: name, Dim: dim}
@@ -53,24 +49,15 @@ type StmtBuilder struct {
 }
 
 // Stmt starts a new statement with the given name and symbolic domain.
-// The domain is enumerated immediately. Statements are ordered by the
-// sequence of Stmt calls, which must match textual program order.
+// Statements are ordered by the sequence of Stmt calls, which must
+// match textual program order. The domain must be non-nil and in a
+// space named like the statement (Build checks both); it is enumerated
+// by Build, or on first use for SCoPs decoded by FromJSON, not here.
 func (b *Builder) Stmt(name string, spec *aff.Domain) *StmtBuilder {
 	st := &Statement{
 		Name:  name,
 		Index: len(b.scop.Stmts),
 		Spec:  spec,
-	}
-	if b.err == nil {
-		if spec == nil {
-			b.err = fmt.Errorf("scop builder: statement %q has nil domain", name)
-		} else {
-			if spec.Space.Name != name {
-				b.err = fmt.Errorf("scop builder: statement %q domain is in space %q; name them identically",
-					name, spec.Space.Name)
-			}
-			st.Domain = spec.Enumerate()
-		}
 	}
 	b.scop.Stmts = append(b.scop.Stmts, st)
 	return &StmtBuilder{b: b, stmt: st}
@@ -82,15 +69,10 @@ func (sb *StmtBuilder) Writes(array string, idx ...aff.Expr) *StmtBuilder {
 		return sb
 	}
 	if sb.stmt.Write != nil {
-		sb.b.err = fmt.Errorf("scop builder: statement %q declares two writes", sb.stmt.Name)
+		sb.b.err = invalidf(sb.b.scop.Name, "statement %q declares two writes", sb.stmt.Name)
 		return sb
 	}
-	ref, err := sb.ref(array, idx)
-	if err != nil {
-		sb.b.err = err
-		return sb
-	}
-	sb.stmt.Write = ref
+	sb.stmt.Write = &AccessRef{Access: aff.NewAccess(array, idx...), owner: sb.stmt}
 	return sb
 }
 
@@ -112,24 +94,8 @@ func (sb *StmtBuilder) Reads(array string, idx ...aff.Expr) *StmtBuilder {
 	if sb.b.err != nil {
 		return sb
 	}
-	ref, err := sb.ref(array, idx)
-	if err != nil {
-		sb.b.err = err
-		return sb
-	}
-	sb.stmt.Reads = append(sb.stmt.Reads, *ref)
+	sb.stmt.Reads = append(sb.stmt.Reads, AccessRef{Access: aff.NewAccess(array, idx...), owner: sb.stmt, slot: 1 + len(sb.stmt.Reads)})
 	return sb
-}
-
-func (sb *StmtBuilder) ref(array string, idx []aff.Expr) (*AccessRef, error) {
-	for _, e := range idx {
-		if e.NVars != sb.stmt.Depth() {
-			return nil, fmt.Errorf("scop builder: statement %q access to %q has index arity %d, domain depth is %d",
-				sb.stmt.Name, array, e.NVars, sb.stmt.Depth())
-		}
-	}
-	acc := aff.NewAccess(array, idx...)
-	return &AccessRef{Access: acc, Rel: acc.Relation(sb.stmt.Domain)}, nil
 }
 
 // Body attaches the executable body of the statement.
@@ -142,12 +108,27 @@ func (sb *StmtBuilder) Body(fn Body) *StmtBuilder {
 // statements.
 func (sb *StmtBuilder) Builder() *Builder { return sb.b }
 
-// Build validates and returns the SCoP.
+// Build validates and returns the SCoP. It enumerates every domain and
+// access relation and runs the full Validate, so a built SCoP is
+// known to have non-empty domains and injective writes.
 func (b *Builder) Build() (*SCoP, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	if err := b.scop.Validate(); err != nil {
+		return nil, err
+	}
+	return b.scop, nil
+}
+
+// buildLazy returns the SCoP after the structural checks only: nothing
+// is enumerated, and the checks that need points (Validate) are left
+// to the first consumer that asks, core.Detect among them.
+func (b *Builder) buildLazy() (*SCoP, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	if err := b.scop.ValidateShallow(); err != nil {
 		return nil, err
 	}
 	return b.scop, nil

@@ -1,7 +1,6 @@
 package scop
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -16,7 +15,8 @@ import (
 //
 // FromJSON accepts both shapes — bare legacy documents keep working for
 // checked-in goldens and old tooling — while the HTTP API
-// (internal/serve) speaks only the enveloped form. See docs/API.md,
+// (internal/serve) decodes with FromEnvelopeJSON, which speaks only the
+// enveloped form. See docs/API.md,
 // "Wire format".
 
 // SchemaV1 is the schema identifier of the version-1 SCoP envelope.
@@ -26,59 +26,26 @@ const SchemaV1 = "scop/v1"
 // this build understands. It is a typed error (not a string match) so
 // servers can map it to a distinct wire status.
 type SchemaError struct {
-	// Schema is the unrecognized identifier found in the document.
+	// Schema is the unrecognized identifier found in the document; it
+	// is empty when the document has no schema at all
+	// (FromEnvelopeJSON).
 	Schema string
 }
 
 func (e *SchemaError) Error() string {
+	if e.Schema == "" {
+		return fmt.Sprintf("scop: document has no schema; use the versioned envelope {%q: %q, %q: ...}", "schema", SchemaV1, "scop")
+	}
 	return fmt.Sprintf("scop: unsupported schema %q (want %q)", e.Schema, SchemaV1)
-}
-
-// envelope is the enveloped wire document. Scop is kept raw so schema
-// validation happens before any payload parsing.
-type envelope struct {
-	Schema string          `json:"schema"`
-	Scop   json.RawMessage `json:"scop"`
 }
 
 // ToJSONEnveloped serializes the SCoP's polyhedral description inside
 // the scop/v1 envelope — the only form the HTTP API accepts.
 func ToJSONEnveloped(sc *SCoP) ([]byte, error) {
-	body, err := ToJSON(sc)
+	doc, err := toDoc(sc)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "{\n  \"schema\": %q,\n  \"scop\": ", SchemaV1)
-	// Re-indent the bare document so the envelope stays readable.
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, body, "  ", "  "); err != nil {
-		return nil, fmt.Errorf("scop: indent envelope: %w", err)
-	}
-	buf.Write(indented.Bytes())
-	buf.WriteString("\n}")
-	return buf.Bytes(), nil
-}
-
-// unwrapEnvelope strips a scop/v1 envelope from data, returning the
-// bare document. Documents without a "schema" key pass through
-// unchanged (the legacy bare form); documents with an unknown schema
-// fail with *SchemaError.
-func unwrapEnvelope(data []byte) ([]byte, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		// Not an object at all — let FromJSON's own parse produce the
-		// canonical error against the original bytes.
-		return data, nil
-	}
-	if env.Schema == "" {
-		return data, nil // bare legacy document
-	}
-	if env.Schema != SchemaV1 {
-		return nil, &SchemaError{Schema: env.Schema}
-	}
-	if len(env.Scop) == 0 {
-		return nil, fmt.Errorf("scop: %s envelope has no \"scop\" payload", SchemaV1)
-	}
-	return env.Scop, nil
+	schema := SchemaV1
+	return json.MarshalIndent(envelopeDoc{Schema: &schema, Scop: doc}, "", "  ")
 }

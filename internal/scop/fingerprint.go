@@ -5,15 +5,18 @@ import (
 	"sort"
 
 	"repro/internal/isl"
+	"repro/internal/isl/aff"
 )
 
-// Fingerprint is a 128-bit content address of a SCoP's polyhedral
+// Fingerprint is a 128-bit content address of a SCoP's affine
 // description: everything pipeline detection reads — statement order,
-// names, iteration domains, and enumerated access relations — and
-// nothing it does not (bodies, builder history, pointer identity).
-// Two SCoPs with equal fingerprints produce bit-identical detection
-// results, which is what lets a serving process reuse one frozen
-// *core.Info across requests (see internal/cache).
+// names, symbolic iteration domains, affine accesses and their
+// overwrite flags — and nothing it does not (bodies, builder history,
+// pointer identity). The enumerated domains and relations are
+// functions of the description, so two SCoPs with equal fingerprints
+// produce bit-identical detection results, which is what lets a
+// serving process reuse one frozen *core.Info across requests (see
+// internal/cache).
 type Fingerprint [2]uint64
 
 // String renders the fingerprint as 32 hex digits.
@@ -23,22 +26,23 @@ func (f Fingerprint) String() string {
 
 // Fingerprint computes the content address of sc, memoized per
 // instance: the first call hashes, every later call returns the stored
-// value. The memoization makes Fingerprint safe for concurrent callers
-// sharing one SCoP (hashing walks the relations through their lazy
-// ordering caches, so exactly one goroutine may do it — sync.Once
-// serializes that and publishes the side effects), which is what lets
-// the detection cache key concurrent requests without locking the
-// SCoP. The SCoP must no longer be under construction by then;
-// Builder.Build is the usual boundary.
+// value, and concurrent callers share one computation. The SCoP must
+// no longer be under construction by then; Builder.Build and FromJSON
+// are the usual boundaries.
 //
-// The hash is canonical: arrays are folded in sorted-name order (the
-// Arrays map has no order) and relations in their lexicographic
-// enumeration order, so construction order, parse order, and interning
-// history never move the fingerprint. It is parameter-aware through
-// the enumerated domains: the same program text instantiated at
-// different parameter bindings (ParseWithParams) enumerates different
-// domains and therefore fingerprints differently, while re-building
-// the same instantiation reproduces the same value.
+// The hash reads the affine description only, never enumerated points,
+// so its cost is linear in the size of the description and independent
+// of domain volume. It is canonical over representation choices that
+// do not change the description: arrays are folded in sorted-name
+// order (the Arrays map has no order), statements in schedule order,
+// a missing coefficient vector hashes as all zeros, and floor terms
+// hash recursively. It is parameter-aware: the same program text
+// instantiated at different parameter bindings (ParseWithParams) has
+// different constant bounds and therefore fingerprints differently.
+//
+// It is not a hash of point sets: two textually different descriptions
+// of one point set (a bound written as a constraint, a read split into
+// two) fingerprint differently and so do not share a cache entry.
 func (sc *SCoP) Fingerprint() Fingerprint {
 	sc.fpOnce.Do(func() { sc.fp = sc.fingerprint() })
 	return sc.fp
@@ -69,15 +73,15 @@ func (sc *SCoP) fingerprint() Fingerprint {
 }
 
 // hashStatement folds one statement: its schedule position, name,
-// domain, write (with the overwrite flag, which selects the relaxed
-// algorithm), and reads in declaration order. Read order is kept
-// because unionReads walks declarations; the union is order-free, but
-// keeping the declared order hashes strictly more than detection needs
-// and stays trivially canonical.
+// symbolic domain, write (with the overwrite flag, which selects the
+// relaxed algorithm), and reads in declaration order. Read order is
+// kept because unionReads walks declarations; the union is order-free,
+// but keeping the declared order hashes strictly more than detection
+// needs and stays trivially canonical.
 func hashStatement(d *isl.Digest, s *Statement) {
 	d.WriteInt(s.Index)
 	d.WriteString(s.Name)
-	s.Domain.HashInto(d)
+	hashDomain(d, s.Spec)
 	if s.Write == nil {
 		d.WriteInt(0)
 	} else {
@@ -90,6 +94,20 @@ func hashStatement(d *isl.Digest, s *Statement) {
 	}
 }
 
+// hashDomain folds the loop-nest bounds and the extra constraints.
+func hashDomain(d *isl.Digest, spec *aff.Domain) {
+	d.WriteInt(len(spec.Bounds))
+	for _, b := range spec.Bounds {
+		hashExpr(d, b.Lo)
+		hashExpr(d, b.Hi)
+	}
+	d.WriteInt(len(spec.Constraints))
+	for _, c := range spec.Constraints {
+		d.WriteInt(int(c.Kind))
+		hashExpr(d, c.E)
+	}
+}
+
 func hashAccess(d *isl.Digest, a *AccessRef) {
 	d.WriteString(a.Array())
 	if a.MayOverwrite {
@@ -97,5 +115,25 @@ func hashAccess(d *isl.Digest, a *AccessRef) {
 	} else {
 		d.WriteInt(0)
 	}
-	a.Rel.HashInto(d)
+	d.WriteInt(len(a.Access.Exprs))
+	for _, e := range a.Access.Exprs {
+		hashExpr(d, e)
+	}
+}
+
+// hashExpr folds an expression with every coefficient written out (a
+// nil coefficient vector and an all-zero one hash alike) and its floor
+// terms recursively.
+func hashExpr(d *isl.Digest, e aff.Expr) {
+	d.WriteInt(e.NVars)
+	d.WriteInt(e.Const)
+	for i := 0; i < e.NVars; i++ {
+		d.WriteInt(e.Coeff(i))
+	}
+	d.WriteInt(len(e.Divs))
+	for _, t := range e.Divs {
+		d.WriteInt(t.Coef)
+		d.WriteInt(t.Den)
+		hashExpr(d, t.Inner)
+	}
 }

@@ -108,3 +108,31 @@ func TestFingerprintString(t *testing.T) {
 		t.Fatalf("fingerprint string %q has length %d, want 32", s, len(s))
 	}
 }
+
+// TestFingerprintCanonicalCoefficients: a nil coefficient vector and
+// an all-zero one describe the same expression and hash alike, while a
+// floor term's denominator is part of the content.
+func TestFingerprintCanonicalCoefficients(t *testing.T) {
+	build := func(lo aff.Expr, idx aff.Expr) *SCoP {
+		b := NewBuilder("c")
+		b.Array("A", 1)
+		b.Stmt("S", aff.NewDomain("S", aff.ConstBound(0, 0, 4),
+			aff.LoopBound{Lo: lo, Hi: aff.Const(1, 4)})).
+			WritesOverwriting("A", idx)
+		sc, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	half := aff.FloorDiv(aff.Var(2, 1), 2)
+	nilCoeffs := build(aff.Expr{NVars: 1}, half)
+	zeroCoeffs := build(aff.Expr{NVars: 1, Coeffs: []int{0}}, half)
+	if nilCoeffs.Fingerprint() != zeroCoeffs.Fingerprint() {
+		t.Fatal("nil and all-zero coefficient vectors fingerprint differently")
+	}
+	third := build(aff.Expr{NVars: 1}, aff.FloorDiv(aff.Var(2, 1), 3))
+	if third.Fingerprint() == nilCoeffs.Fingerprint() {
+		t.Fatal("floor denominator ignored by fingerprint")
+	}
+}

@@ -48,14 +48,14 @@ func TestJSONRoundTrip(t *testing.T) {
 		if got.Name != s.Name {
 			t.Fatalf("stmt %d name %q != %q", i, got.Name, s.Name)
 		}
-		if !got.Domain.Equal(s.Domain) {
+		if !got.Domain().Equal(s.Domain()) {
 			t.Fatalf("stmt %s domain differs after round trip", s.Name)
 		}
 		if (got.Write == nil) != (s.Write == nil) {
 			t.Fatalf("stmt %s write presence differs", s.Name)
 		}
 		if s.Write != nil {
-			if !got.Write.Rel.Equal(s.Write.Rel) {
+			if !got.Write.Rel().Equal(s.Write.Rel()) {
 				t.Fatalf("stmt %s write relation differs", s.Name)
 			}
 			if got.Write.MayOverwrite != s.Write.MayOverwrite {
@@ -66,7 +66,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("stmt %s read count differs", s.Name)
 		}
 		for k := range s.Reads {
-			if !got.Reads[k].Rel.Equal(s.Reads[k].Rel) {
+			if !got.Reads[k].Rel().Equal(s.Reads[k].Rel()) {
 				t.Fatalf("stmt %s read %d differs", s.Name, k)
 			}
 		}

@@ -46,11 +46,11 @@ func TestBuildListing1(t *testing.T) {
 	if s == nil || r == nil {
 		t.Fatal("missing statements")
 	}
-	if s.Domain.Card() != 19*19 {
-		t.Errorf("S domain card = %d, want %d", s.Domain.Card(), 19*19)
+	if s.Domain().Card() != 19*19 {
+		t.Errorf("S domain card = %d, want %d", s.Domain().Card(), 19*19)
 	}
-	if r.Domain.Card() != 9*9 {
-		t.Errorf("R domain card = %d, want %d", r.Domain.Card(), 9*9)
+	if r.Domain().Card() != 9*9 {
+		t.Errorf("R domain card = %d, want %d", r.Domain().Card(), 9*9)
 	}
 	if got := r.ReadsFrom("A"); len(got) != 1 {
 		t.Errorf("R reads from A: %d relations", len(got))
@@ -171,7 +171,7 @@ func TestBodiesRunnable(t *testing.T) {
 	if !sc.HasBodies() {
 		t.Fatal("HasBodies false")
 	}
-	sc.Stmts[0].Domain.Foreach(func(v isl.Vec) bool {
+	sc.Stmts[0].Domain().Foreach(func(v isl.Vec) bool {
 		sc.Stmts[0].Body(v)
 		return true
 	})

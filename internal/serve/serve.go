@@ -26,6 +26,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -251,11 +252,8 @@ func (s *Server) tenantHist(tenant string) *obs.Histogram {
 	return h
 }
 
-// readEnveloped reads and envelope-checks one request body. The HTTP
-// surface speaks only the versioned envelope: a bare legacy document
-// that the Go-level scop.FromJSON would accept is refused here, so
-// wire compatibility is an explicit, versioned contract.
-func readEnveloped(r *http.Request) ([]byte, *ErrorDetail) {
+// readBody reads one request body under the size bound.
+func readBody(r *http.Request) ([]byte, *ErrorDetail) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		return nil, &ErrorDetail{Code: CodeBadRequest, Message: "read body: " + err.Error()}
@@ -263,43 +261,48 @@ func readEnveloped(r *http.Request) ([]byte, *ErrorDetail) {
 	if len(body) > maxBodyBytes {
 		return nil, &ErrorDetail{Code: CodeBadRequest, Message: "request body exceeds 16 MiB"}
 	}
-	var probe struct {
-		Schema *string `json:"schema"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return nil, &ErrorDetail{Code: CodeBadRequest, Message: "malformed JSON: " + err.Error()}
-	}
-	if probe.Schema == nil {
-		return nil, &ErrorDetail{Code: CodeBadSchema,
-			Message: fmt.Sprintf("request must use the versioned envelope {%q: %q, ...}", "schema", scop.SchemaV1)}
-	}
 	return body, nil
 }
 
-// parseSCoP parses one wire SCoP document and refuses degenerate
-// ones: encoding/json ignores unknown keys, so without the statement
-// check a typo'd document would "detect" an empty program and return
-// an empty 200.
-func parseSCoP(data []byte) (*scop.SCoP, error) {
-	sc, err := scop.FromJSON(data)
-	if err != nil {
-		return nil, err
-	}
+// requireStmts refuses degenerate SCoPs: encoding/json ignores unknown
+// keys, so without the statement check a typo'd document would
+// "detect" an empty program and return an empty 200.
+func requireStmts(sc *scop.SCoP) error {
 	if len(sc.Stmts) == 0 {
-		return nil, fmt.Errorf("scop %q has no statements", sc.Name)
+		return fmt.Errorf("scop %q has no statements", sc.Name)
 	}
-	return sc, nil
+	return nil
 }
 
+// observe records one request's handler latency, from entry to the
+// response being written, on the service and the tenant histograms.
+func (s *Server) observe(tenant string, start time.Time) {
+	elapsed := s.now().Sub(start).Nanoseconds()
+	s.reqNS.Observe(elapsed)
+	s.tenantHist(tenant).Observe(elapsed)
+}
+
+// handleDetect serves one enveloped SCoP. The body is parsed once
+// (scop.FromEnvelopeJSON: schema and payload in one pass, nothing
+// enumerated), so a cache hit costs the parse, the affine fingerprint,
+// the probe and the summary. The checks that need enumerated points
+// run inside detection, after admission, and only on a miss: a hit is
+// sound without them because only SCoPs that passed them are cached,
+// and an equal fingerprint means an equal description.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
+	start := s.now()
 	s.reqs.Inc()
 	tenant := tenantOf(r)
-	body, ed := readEnveloped(r)
+	defer s.observe(tenant, start)
+	body, ed := readBody(r)
 	if ed != nil {
 		s.refuse(w, http.StatusBadRequest, ed.Code, ed.Message, 0)
 		return
 	}
-	sc, err := parseSCoP(body)
+	sc, err := scop.FromEnvelopeJSON(body)
+	if err == nil {
+		err = requireStmts(sc)
+	}
 	if err != nil {
 		status, code := classify(err)
 		s.refuse(w, status, code, err.Error(), 0)
@@ -310,11 +313,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	start := s.now()
 	info, err := s.sess.Detect(sc)
-	elapsed := s.now().Sub(start).Nanoseconds()
-	s.reqNS.Observe(elapsed)
-	s.tenantHist(tenant).Observe(elapsed)
 	if err != nil {
 		status, code := classify(err)
 		s.refuse(w, status, code, err.Error(), 0)
@@ -323,32 +322,50 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, http.StatusOK, summarize(info))
 }
 
+// batchDoc is the typed batch envelope, parsed in one pass.
+type batchDoc struct {
+	Schema *string           `json:"schema"`
+	Scops  []json.RawMessage `json:"scops"`
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	start := s.now()
 	s.reqs.Inc()
 	tenant := tenantOf(r)
-	body, ed := readEnveloped(r)
+	defer s.observe(tenant, start)
+	body, ed := readBody(r)
 	if ed != nil {
 		s.refuse(w, http.StatusBadRequest, ed.Code, ed.Message, 0)
 		return
 	}
-	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req batchDoc
+	err := json.Unmarshal(body, &req)
+	var te *json.UnmarshalTypeError
+	switch {
+	case req.Schema == nil && err != nil && (!errors.As(err, &te) || te.Field == "" || te.Field == "schema"):
+		s.refuse(w, http.StatusBadRequest, CodeBadRequest, "malformed JSON: "+err.Error(), 0)
+		return
+	case req.Schema == nil:
+		s.refuse(w, http.StatusBadRequest, CodeBadSchema, (&scop.SchemaError{}).Error(), 0)
+		return
+	case err != nil:
 		s.refuse(w, http.StatusBadRequest, CodeBadRequest, "malformed batch: "+err.Error(), 0)
 		return
-	}
-	if req.Schema != scop.SchemaV1 {
-		err := &scop.SchemaError{Schema: req.Schema}
+	case *req.Schema != scop.SchemaV1:
+		err := &scop.SchemaError{Schema: *req.Schema}
 		s.refuse(w, http.StatusBadRequest, CodeBadSchema, err.Error(), 0)
 		return
-	}
-	if len(req.Scops) == 0 {
+	case len(req.Scops) == 0:
 		s.refuse(w, http.StatusBadRequest, CodeBadRequest, "batch has no scops", 0)
 		return
 	}
 	resp := BatchResponse{Schema: scop.SchemaV1, Results: make([]*DetectResponse, len(req.Scops))}
 	scs := make([]*scop.SCoP, len(req.Scops))
 	for i, raw := range req.Scops {
-		sc, err := parseSCoP(raw)
+		sc, err := scop.FromJSON(raw)
+		if err == nil {
+			err = requireStmts(sc)
+		}
 		if err != nil {
 			_, code := classify(err)
 			resp.Errors = append(resp.Errors, BatchItemError{Index: i, Code: code, Message: err.Error()})
@@ -374,11 +391,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			backIdx = append(backIdx, i)
 		}
 	}
-	start := s.now()
 	infos, errs := s.sess.DetectBatch(valid)
-	elapsed := s.now().Sub(start).Nanoseconds()
-	s.reqNS.Observe(elapsed)
-	s.tenantHist(tenant).Observe(elapsed)
 	for j, info := range infos {
 		i := backIdx[j]
 		if errs[j] != nil {

@@ -96,9 +96,16 @@ const (
 // elsewhere.
 func classify(err error) (status int, code string) {
 	var se *scop.SchemaError
+	var ve *scop.ValidationError
 	switch {
 	case errors.As(err, &se):
 		return http.StatusBadRequest, CodeBadSchema
+	case errors.As(err, &ve):
+		// A malformed program (an empty domain, a non-injective
+		// write, ...) is a bad request whether decoding caught it or
+		// detection's Validate did; detection wraps the latter in
+		// ErrNotPipelinable, so this case must come first.
+		return http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, polypipe.ErrNotPipelinable), errors.Is(err, core.ErrNotPipelinable):
 		return http.StatusBadRequest, CodeNotPipelinable
 	case errors.Is(err, polypipe.ErrUnknownBackend):

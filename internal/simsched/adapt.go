@@ -100,7 +100,7 @@ func SimulateParLoop(p *kernels.Program, procs int, overhead time.Duration) (tim
 				break
 			}
 		}
-		elems := s.Domain.Elements()
+		elems := s.Domain().Elements()
 		if d < 0 {
 			// Serial nest: one task.
 			start := time.Now()

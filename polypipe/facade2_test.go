@@ -214,7 +214,7 @@ for (i = 0; i < N; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Statement("S").Domain.Card() != 7 {
+	if sc.Statement("S").Domain().Card() != 7 {
 		t.Fatal("binding not applied")
 	}
 }

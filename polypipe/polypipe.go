@@ -227,7 +227,7 @@ func BlockReport(info *Info) string {
 	var b strings.Builder
 	for _, si := range info.Stmts {
 		fmt.Fprintf(&b, "%s: %d blocks over %d iterations\n",
-			si.Stmt.Name, len(si.Blocks), si.Stmt.Domain.Card())
+			si.Stmt.Name, len(si.Blocks), si.Stmt.Domain().Card())
 		limit := len(si.Blocks)
 		if limit > 12 {
 			limit = 12
